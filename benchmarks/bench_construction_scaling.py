@@ -5,7 +5,8 @@ cell costs time proportional to tree depth and node arity, so construction is
 linear in the number of populated grid cells.  This bench sweeps increasingly
 fine background-knowledge grids, feeds a synthetic random cell stream to the
 builder, and records cells/second plus structural figures in
-``extra_info`` — the series the ``BENCH_*.json`` perf trajectory tracks.
+``extra_info``.  End-to-end performance (build, simulate, checkpoint, serve)
+is measured by the repository benchmark, ``python3 perfbench/run.py``.
 
 ``test_cached_vs_reference_speedup`` additionally pits the incremental
 aggregate cache against the recompute-from-scratch reference scorer

@@ -317,42 +317,6 @@ def main() -> None:
           f"Prometheus text format")
     print()
 
-    # -- choosing a runtime: pluggable execution backends ---------------------------
-    # Every session schedules through an ExecutionBackend.  The default
-    # "simulator" drains events serially in one thread; "concurrent" overlaps
-    # I/O-shaped waits (given an io_model pricing event labels in wall-clock
-    # seconds) on asyncio mailboxes while draining the *virtual* events in the
-    # same strict order — so answers, counters and RNG draws stay byte-equal.
-    # Select it per build (.runtime(...)), per scenario (runtime="concurrent"),
-    # per CLI run (--runtime), or fleet-wide ($REPRO_RUNTIME).
-    from repro.runtime import ConcurrentBackend, SimulatorBackend
-
-    def io_model(label: str) -> float:
-        # ~2ms of modelled network/disk wait per maintenance-shaped event.
-        return 0.002 if label in ("modification", "departure", "rejoin") else 0.0
-
-    def timed_run(runtime):
-        session = (
-            SystemBuilder()
-            .topology(peer_count=32, average_degree=4)
-            .planned_content(hit_rate=0.25)
-            .modifications(1800.0, rate_per_peer_per_second=1.0 / 120.0)
-            .runtime(runtime)
-            .seed(3)
-            .build()
-        )
-        started = time.perf_counter()
-        session.run_until(1800.0)
-        return time.perf_counter() - started, session.query_batch(count=3)
-
-    serial_wall, serial_answers = timed_run(SimulatorBackend(io_model=io_model))
-    overlap_wall, overlap_answers = timed_run(ConcurrentBackend(io_model=io_model))
-    print("runtime: same run, two execution backends")
-    print(f"  answers identical            : {serial_answers == overlap_answers}")
-    print(f"  simulator (serial) wall      : {serial_wall:.3f}s")
-    print(f"  concurrent (overlapped) wall : {overlap_wall:.3f}s")
-    print()
-
     # -- supervised serving: a crash-safe multi-process fleet -----------------------
     # `repro serve --workers N` forks N worker *processes* (each its own
     # read-only restore of the checkpoint) behind one front port: the GIL no

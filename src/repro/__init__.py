@@ -160,39 +160,6 @@ The same registry backs the serve daemon's ``/metrics`` (Prometheus text
 format) and ``/trace`` endpoints, and ``repro metrics`` / ``repro trace``
 scrape them from the command line.
 
-**Choosing a runtime.**  Every session schedules its events through a
-pluggable :class:`~repro.runtime.ExecutionBackend`.  The default
-``"simulator"`` drains them serially in one thread; ``"concurrent"`` overlaps
-their I/O-shaped waits on asyncio mailboxes (one per peer, semaphore-capped
-fan-out) while draining the *virtual* events in the same strict order — so a
-seed produces byte-identical answers, counters and RNG draws on either
-backend.  Pick one per build (``.runtime(...)``), per scenario
-(``SimulationScenario(runtime="concurrent")``), per CLI run (``--runtime``),
-or process-wide via ``$REPRO_RUNTIME``:
-
->>> from repro import ConcurrentBackend, create_backend
->>> create_backend("concurrent").name  # names resolve to fresh backends
-'concurrent'
->>> fast = (
-...     SystemBuilder()
-...     .topology(peer_count=16, average_degree=4)
-...     .planned_content(hit_rate=0.25)
-...     .runtime(ConcurrentBackend())
-...     .seed(7)
-...     .build()
-... )
->>> _ = fast.run_until(600.0)
->>> slow = (
-...     SystemBuilder()
-...     .topology(peer_count=16, average_degree=4)
-...     .planned_content(hit_rate=0.25)
-...     .seed(7)
-...     .build()
-... )
->>> _ = slow.run_until(600.0)
->>> fast.query() == slow.query()  # backend is an implementation knob
-True
-
 Real-content sessions can additionally ``attach_store(...)``: every
 reconciliation then archives the domain's merged state, and a restarted
 summary peer *cold-starts* — ``cold_start_domain(sp_id)`` installs its global
@@ -321,12 +288,6 @@ from repro.store import (
     open_readonly_session,
     open_store,
 )
-from repro.runtime import (
-    ConcurrentBackend,
-    ExecutionBackend,
-    SimulatorBackend,
-    create_backend,
-)
 from repro.workloads.registry import ScenarioRegistry, default_registry
 from repro.workloads.scenarios import SimulationScenario
 
@@ -452,11 +413,6 @@ __all__ = [
     "JsonlSink",
     "span_tree",
     "connected_trace",
-    # execution backends (repro.runtime)
-    "ExecutionBackend",
-    "SimulatorBackend",
-    "ConcurrentBackend",
-    "create_backend",
     # scenarios
     "SimulationScenario",
     "ScenarioRegistry",

@@ -182,20 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="override the scenario's query hit rate (run-scenario)",
     )
     parser.add_argument(
-        "--runtime",
-        choices=["simulator", "concurrent"],
-        help="execution backend for run-scenario/save-session/load-session "
-        "(default: the simulator, or $REPRO_RUNTIME); both backends give "
-        "identical answers per seed",
-    )
-    parser.add_argument(
-        "--pool",
-        type=int,
-        default=1,
-        help="serve: answer queries from a pool of POOL read-only sessions "
-        "sharing one store and hierarchy cache (default: 1)",
-    )
-    parser.add_argument(
         "--workers",
         type=int,
         default=1,
@@ -336,8 +322,6 @@ def _scenario_from_args(args: argparse.Namespace, include_hours: bool = True):
         overrides["alpha"] = args.alpha
     if args.hit_rate is not None:
         overrides["matching_fraction"] = args.hit_rate
-    if args.runtime is not None:
-        overrides["runtime"] = args.runtime
     return registry.scenario(args.scenario, **overrides)
 
 
@@ -507,7 +491,7 @@ def _save_session_table(args: argparse.Namespace) -> ExperimentTable:
 def _load_session_table(args: argparse.Namespace) -> ExperimentTable:
     from repro.store.checkpoint import restore_session
 
-    session = restore_session(args.store, name=args.name, runtime=args.runtime)
+    session = restore_session(args.store, name=args.name)
     return _session_report_table(
         session,
         name=f"Restored session {args.name!r}",
@@ -569,43 +553,31 @@ def _inspect_store_table(args: argparse.Namespace) -> ExperimentTable:
 
 def _serve(args: argparse.Namespace) -> int:
     from repro.exceptions import ConfigurationError
-    from repro.serve.server import SessionPool, SummaryQueryServer
-    from repro.store.checkpoint import (
-        open_readonly_session,
-        open_readonly_session_pool,
-    )
+    from repro.serve.server import SummaryQueryServer
+    from repro.store.checkpoint import open_readonly_session
 
-    if args.pool < 1:
-        raise ConfigurationError(f"--pool needs at least 1 session, got {args.pool}")
     if args.workers < 1:
         raise ConfigurationError(
             f"--workers needs at least 1 process, got {args.workers}"
         )
     if args.workers > 1:
         return _serve_supervised(args)
-    if args.pool > 1:
-        pool = SessionPool(
-            open_readonly_session_pool(args.store, args.pool, name=args.name)
-        )
-    else:
-        pool = SessionPool([open_readonly_session(args.store, name=args.name)])
-    session = pool.primary
+    session = open_readonly_session(args.store, name=args.name)
     kwargs = {}
     if args.no_obs:
         kwargs["observability"] = None
     server = SummaryQueryServer(
         (args.host, args.port),
-        pool,
+        session,
         checkpoint_name=args.name,
         quiet=False,
         close_session_on_stop=True,
         **kwargs,
     )
     endpoints = "" if args.no_obs else "; metrics on /metrics, spans on /trace"
-    pooled = f", pool of {pool.size}" if pool.size > 1 else ""
     print(
         f"serving checkpoint {args.name!r} from {args.store} on {server.url} "
-        f"({session.overlay.size} peers, {len(session.domains)} domains{pooled}; "
+        f"({session.overlay.size} peers, {len(session.domains)} domains; "
         f"Ctrl-C or POST /shutdown to stop{endpoints})"
     )
     try:
@@ -614,7 +586,7 @@ def _serve(args: argparse.Namespace) -> int:
         pass
     finally:
         server.server_close()
-        pool.close()
+        session.close()
     return 0
 
 

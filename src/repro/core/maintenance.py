@@ -9,11 +9,9 @@ travels from partner to partner, each one merging its current local summary
 in, and comes back to the summary peer which installs the new version and
 resets every freshness value.
 
-This module is runtime-agnostic: every method takes the current virtual time
-as an explicit ``now`` argument and never touches a clock, scheduler, or
-:mod:`repro.runtime` backend directly.  Keep it that way — it is what lets
-the same maintenance logic run unchanged under the serial simulator and the
-concurrent backend.
+This module is clock-agnostic: every method takes the current virtual time
+as an explicit ``now`` argument and never touches the simulator's clock or
+event queue directly.
 """
 
 from __future__ import annotations

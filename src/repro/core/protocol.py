@@ -58,7 +58,6 @@ from repro.network.metrics import MessageCounter, TrafficReport
 from repro.network.overlay import Overlay
 from repro.network.peer import PeerRole
 from repro.network.simulator import Simulator
-from repro.runtime import ExecutionBackend, RuntimeSpec, create_backend
 from repro.core.service import LocalSummaryService
 from repro.querying.proposition import Proposition
 from repro.querying.reformulation import reformulate
@@ -145,20 +144,13 @@ class SummaryManagementSystem:
         config: Optional[ProtocolConfig] = None,
         background: Optional[BackgroundKnowledge] = None,
         seed: int = 0,
-        runtime: RuntimeSpec = None,
     ) -> None:
         self._overlay = overlay
         self._config = config or ProtocolConfig()
         self._background = background
-        # The execution backend owns the virtual clock and decides how
-        # scheduled events run (single-threaded simulator by default, asyncio
-        # fan-out with ``runtime="concurrent"``).  ``self._simulator`` stays
-        # bound to the backend's clock so every clock read and checkpoint
-        # hook below is backend-agnostic.
-        self._runtime = create_backend(runtime)
-        self._rng = self._runtime.create_rng(seed)
+        self._rng = random.Random(seed)
         self._counter = MessageCounter()
-        self._simulator = self._runtime.clock
+        self._simulator = Simulator()
         self._maintenance = MaintenanceEngine(self._config, self._counter)
         self._churn = ChurnHandler(
             self._config, self._counter, self._maintenance, rng=self._rng
@@ -200,13 +192,8 @@ class SummaryManagementSystem:
 
     @property
     def simulator(self) -> Simulator:
-        """The virtual clock (the runtime backend's event queue + ``now``)."""
+        """The virtual clock (event queue + ``now``)."""
         return self._simulator
-
-    @property
-    def runtime(self) -> ExecutionBackend:
-        """The execution backend driving scheduled events."""
-        return self._runtime
 
     @property
     def counter(self) -> MessageCounter:
@@ -468,7 +455,6 @@ class SummaryManagementSystem:
             service.observability = obs
         if self._maintenance._snapshots is not None:  # noqa: SLF001
             self._maintenance._snapshots.observability = obs  # noqa: SLF001
-        self._runtime.install_observability(obs)
         if obs is not None:
             obs.bind_sim_clock(lambda: self._simulator.now)
 
@@ -593,13 +579,8 @@ class SummaryManagementSystem:
         raise ProtocolError(f"unknown scheduled-event kind: {kind!r}")
 
     def schedule_event_from_spec(self, spec: Dict[str, object], at: float) -> None:
-        actor = spec.get("peer_id")
-        self._runtime.schedule_at(
-            at,
-            self.event_callback_from_spec(spec),
-            label=str(spec["kind"]),
-            spec=spec,
-            actor=None if actor is None else str(actor),
+        self._simulator.schedule_at(
+            at, self.event_callback_from_spec(spec), label=str(spec["kind"]), spec=spec
         )
 
     def _run_departure_event(self, spec: Mapping[str, object]) -> None:
@@ -1015,7 +996,7 @@ class SummaryManagementSystem:
 
     def run(self, until: Optional[float] = None) -> int:
         """Advance the simulation (process scheduled churn/modification events)."""
-        return self._runtime.run(until=until)
+        return self._simulator.run(until=until)
 
     # -- query processing --------------------------------------------------------------------------
 

@@ -52,7 +52,6 @@ from typing import (
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs import Observability
-    from repro.runtime import ExecutionBackend, RuntimeSpec
     from repro.store.backend import StoreBackend
     from repro.store.lazy import HierarchySource
 
@@ -270,7 +269,6 @@ class SystemBuilder:
         self._modifications: Optional[_ModificationPlan] = None
         self._fault_plan: Optional[FaultPlan] = None
         self._observability: Optional["Observability"] = None
-        self._runtime: "RuntimeSpec" = None
 
     # -- declarative configuration -----------------------------------------------------
 
@@ -418,23 +416,6 @@ class SystemBuilder:
         self._seed = seed
         return self
 
-    def runtime(self, spec: "RuntimeSpec") -> "SystemBuilder":
-        """Pick the execution backend the built system schedules through.
-
-        ``"simulator"`` (the default) is the deterministic single-threaded
-        drain; ``"concurrent"`` the asyncio backend with per-actor mailboxes
-        and ordered-drain windows.  Pass an
-        :class:`~repro.runtime.ExecutionBackend` instance to tune backend
-        knobs (``io_model``, fan-out limits).  Both backends produce the
-        same answers, counters and RNG states for the same seed; see
-        :mod:`repro.runtime`.
-        """
-        from repro.runtime import create_backend
-
-        # Resolve eagerly so a bad name fails at declaration time, not build.
-        self._runtime = create_backend(spec) if isinstance(spec, str) else spec
-        return self
-
     def observability(
         self,
         obs: Optional["Observability"] = None,
@@ -552,7 +533,6 @@ class SystemBuilder:
         target: Union[None, str, "StoreBackend"],
         name: str = "session",
         background: Optional[BackgroundKnowledge] = None,
-        runtime: "RuntimeSpec" = None,
     ) -> "NetworkSession":
         """Resume a session checkpointed with :meth:`NetworkSession.checkpoint`.
 
@@ -561,15 +541,11 @@ class SystemBuilder:
         continues byte-identically: subsequent ``query()`` routing, staleness
         snapshots and traffic reports match the never-persisted session.
         Real-content checkpoints additionally need the common ``background``
-        knowledge, exactly like the summary wire format.  ``runtime``
-        overrides the execution backend (default: the one recorded at
-        checkpoint time); both backends continue byte-identically.
+        knowledge, exactly like the summary wire format.
         """
         from repro.store.checkpoint import restore_session
 
-        return restore_session(
-            target, name=name, background=background, runtime=runtime
-        )
+        return restore_session(target, name=name, background=background)
 
     def build(self) -> "NetworkSession":
         """Validate the declared configuration and assemble the session."""
@@ -581,7 +557,6 @@ class SystemBuilder:
             config=config,
             background=self._background,
             seed=self._seed,
-            runtime=self._runtime,
         )
         if self._observability is not None:
             # Installed before construction so domain building, churn and the
@@ -657,11 +632,6 @@ class NetworkSession:
     @property
     def simulator(self) -> Simulator:
         return self._system.simulator
-
-    @property
-    def runtime(self) -> "ExecutionBackend":
-        """The execution backend driving the session's event schedule."""
-        return self._system.runtime
 
     @property
     def config(self) -> ProtocolConfig:
@@ -843,51 +813,6 @@ class NetworkSession:
                 merged.classes.extend(result.answer.classes)
         return merged
 
-    def query_many(
-        self,
-        count: Optional[int] = None,
-        queries: Optional[Iterable[SelectionQuery]] = None,
-        originators: Optional[Sequence[str]] = None,
-        *,
-        policy: RoutingPolicy = RoutingPolicy.ALL,
-        required_results: Optional[int] = None,
-        max_domains: Optional[int] = None,
-        include_staleness: Optional[bool] = None,
-        include_answer: Optional[bool] = None,
-    ) -> List[QueryAnswer]:
-        """Pose a batch of queries, cycling originators across the population.
-
-        Planned mode poses ``count`` plan-matched queries; real mode iterates
-        ``queries``.  Exactly one of the two must be given.
-        """
-        if (count is None) == (queries is None):
-            raise ConfigurationError(
-                "query_many takes either count (planned content) or queries "
-                "(real content), exactly one"
-            )
-        pool = list(originators) if originators else self.partner_ids()
-        if not pool:
-            pool = [self.default_originator()]
-        answers: List[QueryAnswer] = []
-        if count is not None:
-            iterator: Iterable[Optional[SelectionQuery]] = (None for _ in range(count))
-        else:
-            assert queries is not None
-            iterator = iter(queries)
-        for index, one_query in enumerate(iterator):
-            answers.append(
-                self.query(
-                    pool[index % len(pool)],
-                    query=one_query,
-                    policy=policy,
-                    required_results=required_results,
-                    max_domains=max_domains,
-                    include_staleness=include_staleness,
-                    include_answer=include_answer,
-                )
-            )
-        return answers
-
     def query_batch(
         self,
         count: Optional[int] = None,
@@ -909,43 +834,55 @@ class NetworkSession:
         same queries one by one with :meth:`query` (same routing sets, query
         ids, message counters, staleness figures and RNG state).
 
-        Queries are given either like :meth:`query_many` (``count`` planned
-        queries or an iterable of real ``queries``, with originators cycled
-        over the population) or as explicit
-        :class:`~repro.core.routing.QueryRequest` values via ``requests``
-        (each request then carries its own originator/policy/limits).
+        Queries are given either as ``count`` planned queries or an iterable
+        of real ``queries`` (exactly one of the two; originators are cycled
+        over ``originators``, default the partner population), or as
+        explicit :class:`~repro.core.routing.QueryRequest` values via
+        ``requests`` (each request then carries its own
+        originator/policy/limits).
         """
         if requests is not None:
             if count is not None or queries is not None or originators:
                 raise ConfigurationError(
-                    "query_batch takes either requests or the query_many-style "
+                    "query_batch takes either requests or the "
                     "count/queries/originators arguments, not both"
                 )
-            with self._system.shared_query_state():
-                return [
-                    self.query(
-                        request.originator,
-                        query=request.query,
-                        query_id=request.query_id,
-                        policy=request.policy,
-                        required_results=request.required_results,
-                        max_domains=request.max_domains,
-                        include_staleness=include_staleness,
-                        include_answer=include_answer,
-                    )
-                    for request in requests
-                ]
-        with self._system.shared_query_state():
-            return self.query_many(
-                count=count,
-                queries=queries,
-                originators=originators,
-                policy=policy,
-                required_results=required_results,
-                max_domains=max_domains,
-                include_staleness=include_staleness,
-                include_answer=include_answer,
+        else:
+            if (count is None) == (queries is None):
+                raise ConfigurationError(
+                    "query_batch takes either count (planned content) or "
+                    "queries (real content), exactly one"
+                )
+            cycle = list(originators) if originators else self.partner_ids()
+            if not cycle:
+                cycle = [self.default_originator()]
+            posed: List[Optional[SelectionQuery]] = (
+                [None] * count if count is not None else list(queries or ())
             )
+            requests = [
+                QueryRequest(
+                    originator=cycle[index % len(cycle)],
+                    query=one_query,
+                    policy=policy,
+                    required_results=required_results,
+                    max_domains=max_domains,
+                )
+                for index, one_query in enumerate(posed)
+            ]
+        with self._system.shared_query_state():
+            return [
+                self.query(
+                    request.originator,
+                    query=request.query,
+                    query_id=request.query_id,
+                    policy=request.policy,
+                    required_results=request.required_results,
+                    max_domains=request.max_domains,
+                    include_staleness=include_staleness,
+                    include_answer=include_answer,
+                )
+                for request in requests
+            ]
 
     # -- persistence -------------------------------------------------------------------
 
@@ -1229,10 +1166,6 @@ class ReadOnlyNetworkSession(NetworkSession):
     def query(self, *args: Any, **kwargs: Any) -> QueryAnswer:
         with self._frozen():
             return super().query(*args, **kwargs)
-
-    def query_many(self, *args: Any, **kwargs: Any) -> List[QueryAnswer]:
-        with self._frozen():
-            return super().query_many(*args, **kwargs)
 
     def query_batch(self, *args: Any, **kwargs: Any) -> List[QueryAnswer]:
         with self._frozen():

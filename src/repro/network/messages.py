@@ -4,10 +4,8 @@ The evaluation's primary metric is the *number of exchanged messages*; this
 module enumerates every message type the protocols use (Sections 4 and 5 of
 the paper) so the metrics layer can attribute traffic precisely.
 
-Messages are plain data, deliberately runtime-agnostic: nothing here knows
-about clocks, schedulers, or :mod:`repro.runtime` backends.  Delivery timing
-and ordering belong to the transport and the execution backend; a message
-object must serialize and count identically under every backend.
+Messages are plain data: nothing here knows about clocks or schedulers.
+Delivery timing and ordering belong to the transport and the simulator.
 """
 
 from __future__ import annotations

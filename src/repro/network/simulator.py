@@ -187,46 +187,6 @@ class Simulator:
             heapq.heappop(self._queue)
         return self._queue[0] if self._queue else None
 
-    # -- queue inspection (used by repro.runtime backends) ------------------------
-
-    def peek(self) -> Optional[Event]:
-        """The next non-cancelled event, without popping it (None when empty)."""
-        return self._peek()
-
-    def due(self, until: float) -> List[Event]:
-        """Non-cancelled events with ``time <= until``, in firing order.
-
-        A read-only window snapshot: nothing is popped, so running the queue
-        afterwards processes exactly the same events in exactly the same
-        order.  Execution backends use this to know which deliveries fall in
-        the next drain window before draining it.
-        """
-        return sorted(
-            event
-            for event in self._queue
-            if not event.cancelled and event.time <= until
-        )
-
-    def advance_to(self, time: float) -> None:
-        """Move the clock forward to ``time`` without running any event.
-
-        Refuses to travel back in time or to skip over a pending event; this
-        is the tail advance ``run(until=...)`` performs when the queue drains
-        (or the next event lies beyond the horizon), exposed so execution
-        backends can finish a windowed drain with the same clock semantics.
-        """
-        if time < self._now:
-            raise NetworkError(
-                f"cannot advance the clock to {time} before now ({self._now})"
-            )
-        head = self._peek()
-        if head is not None and head.time < time:
-            raise NetworkError(
-                f"cannot advance the clock to {time} past the pending event "
-                f"at {head.time}"
-            )
-        self._now = time
-
     def reset(self) -> None:
         """Drop every pending event and rewind the clock to zero."""
         self._queue.clear()

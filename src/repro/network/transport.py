@@ -14,17 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from typing import TYPE_CHECKING
-
 from repro.exceptions import NetworkError
 from repro.network.faults import ExpiringSet, FaultInjector
 from repro.network.messages import Message, MessageType
 from repro.network.metrics import MessageCounter
 from repro.network.overlay import Overlay
 from repro.network.simulator import Simulator
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.runtime import ExecutionBackend
 
 MessageHandler = Callable[[Message, float], None]
 
@@ -51,23 +46,9 @@ class MessageBus:
         default_latency_ms: float = 50.0,
         faults: Optional[FaultInjector] = None,
         duplicate_ttl_seconds: float = 30.0,
-        runtime: Optional["ExecutionBackend"] = None,
     ) -> None:
-        if runtime is not None and simulator is not None and runtime.clock is not simulator:
-            raise NetworkError(
-                "pass either a runtime or a simulator to MessageBus, not two "
-                "disagreeing clocks"
-            )
         self._overlay = overlay
-        # A runtime-backed bus schedules deliveries through the execution
-        # backend (which tags them with the receiving peer, so concurrent
-        # backends can fan them out per-mailbox); a bare bus keeps scheduling
-        # straight onto its simulator, exactly as before.
-        self._runtime = runtime
-        if runtime is not None:
-            self._simulator = runtime.clock
-        else:
-            self._simulator = simulator if simulator is not None else Simulator()
+        self._simulator = simulator if simulator is not None else Simulator()
         self._counter = counter if counter is not None else MessageCounter()
         self._default_latency_ms = default_latency_ms
         self._handlers: Dict[Tuple[str, MessageType], MessageHandler] = {}
@@ -88,11 +69,6 @@ class MessageBus:
     @property
     def simulator(self) -> Simulator:
         return self._simulator
-
-    @property
-    def runtime(self) -> Optional["ExecutionBackend"]:
-        """The execution backend deliveries are scheduled through, if any."""
-        return self._runtime
 
     @property
     def counter(self) -> MessageCounter:
@@ -264,8 +240,6 @@ class MessageBus:
 
     def run(self, until: Optional[float] = None) -> int:
         """Advance the simulation until pending deliveries are processed."""
-        if self._runtime is not None:
-            return self._runtime.run(until=until)
         return self._simulator.run(until=until)
 
     # -- helpers -------------------------------------------------------------------------
@@ -292,21 +266,7 @@ class MessageBus:
                 return
             handler(message, self._simulator.now)
 
-        if self._runtime is not None:
-            # The backend owns delivery scheduling: the actor tag names the
-            # receiving peer's mailbox.  The bus keeps its own receiver-side
-            # duplicate suppression (above), so no dedup_key is passed —
-            # suppressed duplicates must still be counted as drops.
-            self._runtime.deliver(
-                latency_ms / 1000.0,
-                deliver,
-                label=message.type.value,
-                actor=message.destination,
-            )
-        else:
-            self._simulator.schedule(
-                latency_ms / 1000.0, deliver, label=message.type.value
-            )
+        self._simulator.schedule(latency_ms / 1000.0, deliver, label=message.type.value)
 
     def _drop(self, record: DeliveryRecord, reason: str, fault: bool = False) -> None:
         record.dropped = True

@@ -63,7 +63,13 @@ def content_hash(payload: Any) -> str:
 
 
 def hierarchy_content_hash(hierarchy: SummaryHierarchy) -> str:
-    """Content address of a hierarchy (equal hierarchies hash identically)."""
+    """Content address of a hierarchy (equal hierarchies hash identically).
+
+    The encoding keeps each node's cells in insertion order, so the hash
+    depends on the order in which cells were absorbed, not only on the set
+    of cells: two nodes holding the same cells absorbed in a different order
+    hash differently.
+    """
     return content_hash(hierarchy_to_dict(hierarchy))
 
 
@@ -139,11 +145,14 @@ def _statistics_from_dict(payload: Dict[str, Any]) -> StatisticsBundle:
 
 
 def summary_to_dict(summary: Summary) -> Dict[str, Any]:
-    """Encode a summary node and, recursively, its children."""
+    """Encode a summary node and, recursively, its children.
+
+    Cells are written in insertion order: :func:`summary_from_dict`
+    re-absorbs them in that order, so a decoded node sums its floating-point
+    aggregates in the same order as the original and stays equal to it.
+    """
     return {
-        "cells": [cell_to_dict(cell) for _key, cell in sorted(
-            summary.cells.items(), key=lambda kv: tuple(map(str, kv[0]))
-        )],
+        "cells": [cell_to_dict(cell) for cell in summary.cells.values()],
         "children": [summary_to_dict(child) for child in summary.children],
     }
 

@@ -30,6 +30,7 @@ import os
 import re
 import sqlite3
 import tempfile
+import threading
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
 
@@ -86,6 +87,45 @@ def _pid_start_token(pid: int) -> Optional[str]:
         return None
 
 
+def _judge_stamp(raw: bytes) -> "tuple[Optional[int], bool]":
+    """The holder pid a lock stamp records and whether that holder is gone."""
+    text = raw.decode("utf-8", errors="replace").strip()
+    if not text:
+        return None, True  # torn write: crashed before stamping
+    token: Optional[str] = None
+    try:
+        document = json.loads(text)
+    except ValueError:
+        document = None
+    if isinstance(document, dict):
+        try:
+            pid = int(document["pid"])
+        except (KeyError, TypeError, ValueError):
+            return None, True  # malformed stamp: stale
+        token = document.get("token") or None
+    elif isinstance(document, int):
+        pid = document  # legacy bare-pid stamp (pre-token lockers)
+    else:
+        return None, True  # torn/garbage JSON: stale
+    if not _pid_alive(pid):
+        return pid, True
+    # A live process holds that pid — but is it the same incarnation?
+    # Steal only when both recorded and current tokens are known and
+    # disagree; an unknown token on either side means "cannot tell",
+    # which must read as held.
+    current = _pid_start_token(pid)
+    if token is not None and current is not None and token != current:
+        return pid, True
+    return pid, False
+
+
+def _unlink_quietly(path: Path) -> None:
+    try:
+        os.unlink(path)
+    except OSError:  # pragma: no cover - filesystem dependent
+        pass
+
+
 class _WriteLock:
     """Sidecar lock file marking the one live writer of an on-disk store.
 
@@ -95,19 +135,24 @@ class _WriteLock:
     race into one typed :class:`StoreError` at *open* time: the second
     exclusive open of a path fails while the first backend is alive.
 
-    The lock records the holder's ``(pid, start-time token)`` as JSON.  It is
-    considered **stale** — and stolen — when the recorded process no longer
-    exists, or when a process with that pid exists but its start-time token
-    differs from the recorded one (the pid was recycled by an unrelated
-    process after the writer crashed).  A torn or empty sidecar (the writer
-    crashed between creating and stamping the file) is likewise stale, not an
+    The lock records the holder's ``(pid, start-time token)`` as JSON.  The
+    stamp is published atomically: it is written to a private file which is
+    then hard-linked into place (:func:`os.link` fails when the target
+    exists), so a live lock is never observed empty.  The lock is considered
+    **stale** — and stolen — when the recorded process no longer exists, or
+    when a process with that pid exists but its start-time token differs
+    from the recorded one (the pid was recycled by an unrelated process after
+    the writer crashed).  A torn or empty sidecar (left by writers that
+    created and stamped the file in two steps) is likewise stale, not an
     error.  Only an *unreadable* file (permissions, I/O) is treated as held,
     erring on the safe side.
 
-    Stealing is race-safe: a contender first claims the stale file with an
-    atomic :func:`os.rename` — exactly one concurrent contender wins that
-    rename — and only the winner retries the exclusive create.  Losers see a
-    fresh, live lock and fail with the usual typed :class:`StoreError`.
+    Stealing is race-safe: a contender claims the stale file with an atomic
+    :func:`os.rename` to a claim name of its own (pid and thread id), then
+    checks that the file it claimed is the very one it judged stale.  A
+    contender that judged late may have renamed a *live* lock another
+    contender had just published; it links that lock back into place and
+    fails with the usual typed :class:`StoreError`.
     """
 
     def __init__(self, path: Path, store: str) -> None:
@@ -116,91 +161,89 @@ class _WriteLock:
         self._acquired = False
 
     def acquire(self) -> None:
-        for attempt in (1, 2, 3):
-            try:
-                handle = os.open(
-                    self._path, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644
-                )
-            except FileExistsError:
-                holder_pid, stale = self._holder_state()
-                if not stale or attempt == 3:
-                    raise StoreError(
-                        f"store {self._store} is already open for write "
-                        f"(lock {self._path} held by pid {holder_pid}): close "
-                        "the other backend first, or open read-only with "
-                        "exclusive=False"
-                    ) from None
-                # The recorded writer is gone (crashed without close()) or
-                # its pid was recycled: claim the stale file atomically —
-                # rename succeeds for exactly one concurrent contender — and
-                # retry the exclusive create.  A loser's rename fails, and
-                # its next create attempt finds the winner's live lock.
-                claim = self._path.with_name(
-                    f"{self._path.name}.steal.{os.getpid()}"
-                )
-                try:
-                    os.rename(self._path, claim)
-                except OSError:
-                    continue
-                try:
-                    os.unlink(claim)
-                except OSError:  # pragma: no cover - filesystem dependent
-                    pass
-                continue
-            with os.fdopen(handle, "w", encoding="utf-8") as stream:
-                pid = os.getpid()
-                stream.write(
-                    json.dumps({"pid": pid, "token": _pid_start_token(pid)})
-                )
-            self._acquired = True
-            return
+        holder_pid: Optional[int] = None
+        for _attempt in range(3):
+            if self._publish():
+                self._acquired = True
+                return
+            holder_pid, retry = self._claim_if_stale()
+            if not retry:
+                break
+        raise StoreError(
+            f"store {self._store} is already open for write "
+            f"(lock {self._path} held by pid {holder_pid}): close "
+            "the other backend first, or open read-only with "
+            "exclusive=False"
+        )
 
-    def _holder_state(self) -> "tuple[Optional[int], bool]":
-        """The recorded holder pid and whether the lock is stale."""
+    def _private_path(self, purpose: str) -> Path:
+        """A sibling path no other contender (process or thread) uses."""
+        return self._path.with_name(
+            f"{self._path.name}.{purpose}.{os.getpid()}.{threading.get_ident()}"
+        )
+
+    def _publish(self) -> bool:
+        """Create the lock already stamped; False when a lock exists."""
+        pid = os.getpid()
+        stamp = self._private_path("stamp")
+        stamp.write_text(
+            json.dumps({"pid": pid, "token": _pid_start_token(pid)}),
+            encoding="utf-8",
+        )
         try:
-            raw = self._path.read_text(encoding="utf-8").strip()
+            os.link(stamp, self._path)
+        except FileExistsError:
+            return False
+        finally:
+            _unlink_quietly(stamp)
+        return True
+
+    def _claim_if_stale(self) -> "tuple[Optional[int], bool]":
+        """Judge the existing lock and remove it when stale.
+
+        Returns the recorded holder pid and whether the create should be
+        retried (the lock was stolen, or vanished in the meantime).
+        """
+        try:
+            judged = open(self._path, "rb")
         except FileNotFoundError:
-            # Another contender already stole and released (or is mid-steal):
-            # treat as stale so the create is simply retried.
+            # Released, or another contender is mid-steal: retry the create.
             return None, True
         except OSError:
             return None, False  # unreadable: assume held, err on the safe side
-        if not raw:
-            return None, True  # torn write: crashed before stamping
-        token: Optional[str] = None
-        try:
-            document = json.loads(raw)
-        except ValueError:
-            document = None
-        if isinstance(document, dict):
+        # Keeping the judged file open pins its inode, so no lock published
+        # meanwhile can reuse the inode number the claim is checked against.
+        with judged:
+            holder_pid, stale = _judge_stamp(judged.read())
+            if not stale:
+                return holder_pid, False
+            judged_stat = os.fstat(judged.fileno())
+            claim = self._private_path("steal")
             try:
-                pid = int(document["pid"])
-            except (KeyError, TypeError, ValueError):
-                return None, True  # malformed stamp: stale
-            token = document.get("token") or None
-        elif isinstance(document, int):
-            pid = document  # legacy bare-pid stamp (pre-token lockers)
-        else:
-            return None, True  # torn/garbage JSON: stale
-        if not _pid_alive(pid):
-            return pid, True
-        # A live process holds that pid — but is it the same incarnation?
-        # Steal only when both recorded and current tokens are known and
-        # disagree; an unknown token on either side means "cannot tell",
-        # which must read as held.
-        current = _pid_start_token(pid)
-        if token is not None and current is not None and token != current:
-            return pid, True
-        return pid, False
+                os.rename(self._path, claim)
+            except OSError:
+                # Another contender claimed it first; the retried create then
+                # meets that contender's live lock.
+                return holder_pid, True
+            try:
+                if os.path.samestat(os.stat(claim), judged_stat):
+                    return holder_pid, True
+                # Between the judgement and the rename another contender stole
+                # the stale lock and published its own: put it back and lose.
+                live_pid, _stale = _judge_stamp(claim.read_bytes())
+                try:
+                    os.link(claim, self._path)
+                except OSError:  # pragma: no cover - a third contender won
+                    pass
+                return live_pid, False
+            finally:
+                _unlink_quietly(claim)
 
     def release(self) -> None:
         if not self._acquired:
             return
         self._acquired = False
-        try:
-            os.unlink(self._path)
-        except OSError:  # pragma: no cover - filesystem dependent
-            pass
+        _unlink_quietly(self._path)
 
 
 class StoreBackend(abc.ABC):

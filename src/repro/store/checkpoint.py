@@ -83,7 +83,6 @@ from repro.store.snapshots import SnapshotStore
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.session import NetworkSession, ReadOnlyNetworkSession
-    from repro.runtime import RuntimeSpec
 
 #: The namespace checkpoints are filed under in any backend.
 CHECKPOINT_KIND = "checkpoint"
@@ -431,11 +430,6 @@ def capture_session(session: "NetworkSession") -> Tuple[Dict[str, Any], Snapshot
         },
         "query_counter": system._query_counter,  # noqa: SLF001 - exact restore
     }
-    if system.runtime.name != "simulator":
-        # Only non-default runtimes are recorded, so checkpoints taken on the
-        # default backend stay byte-identical to pre-runtime ones (the delta
-        # and identity suites depend on that).
-        payload["runtime"] = system.runtime.name
     if system.faults is not None:
         # The injector travels whole: plan, RNG mid-stream state, current
         # partition and accumulated statistics.  Its *scheduled* adversities
@@ -682,23 +676,19 @@ def restore_session(
     target: Union[None, str, StoreBackend],
     name: str = DEFAULT_CHECKPOINT_NAME,
     background: Optional[BackgroundKnowledge] = None,
-    runtime: "RuntimeSpec" = None,
 ) -> "NetworkSession":
     """Rebuild the checkpointed session from ``target``.
 
     Real-content checkpoints (databases + summaries) need the common
     ``background`` knowledge, exactly like the summary wire format; planned
     content restores without one.  Delta checkpoints are resolved through
-    their base chain transparently.
-
-    ``runtime`` overrides the execution backend the restored session runs
-    on; the default resumes on the backend recorded at checkpoint time (the
-    simulator, for checkpoints predating the runtime layer).  Both backends
-    continue byte-identically, so switching at restore is safe.
+    their base chain transparently.  Checkpoints written by older releases
+    may carry a ``"runtime"`` key naming the execution backend they ran on;
+    every backend drained events in the same order, so it is ignored.
     """
     backend = open_store(target)
     try:
-        return _restore_session(backend, name, background, runtime=runtime)
+        return _restore_session(backend, name, background)
     finally:
         if owns_backend(target):
             backend.close()
@@ -760,67 +750,12 @@ def open_readonly_session(
         raise
 
 
-def open_readonly_session_pool(
-    target: Union[None, str, StoreBackend],
-    size: int,
-    name: str = DEFAULT_CHECKPOINT_NAME,
-    background: Optional[BackgroundKnowledge] = None,
-    cache_size: int = DEFAULT_CACHE_SIZE,
-) -> List["ReadOnlyNetworkSession"]:
-    """Open ``size`` independent read-only restores of one checkpoint.
-
-    All members share one store backend and one lazy
-    :class:`~repro.store.lazy.HierarchySource` (hierarchies are materialized
-    once, pool-wide), but each carries its own protocol state and request
-    lock — so up to ``size`` requests execute concurrently where a single
-    read-only session serializes them.  Every member answers byte-identically
-    to :func:`open_readonly_session` of the same checkpoint.
-
-    The first member owns the backend (when ``target`` is a path): close the
-    others first and it last, or wrap the list in
-    :class:`repro.serve.server.SessionPool` whose ``close()`` does exactly
-    that.
-    """
-    from repro.core.session import ReadOnlyNetworkSession
-
-    if size < 1:
-        raise StoreError(f"a session pool needs at least one member, got {size}")
-    backend = open_store(target, check_same_thread=False, exclusive=False)
-    owns = owns_backend(target)
-    sessions: List["ReadOnlyNetworkSession"] = []
-    try:
-        source = HierarchySource(
-            SnapshotStore(backend), background, cache_size=cache_size
-        )
-        for index in range(size):
-            session = _restore_session(
-                backend,
-                name,
-                background,
-                lazy=source,
-                session_cls=ReadOnlyNetworkSession,
-            )
-            assert isinstance(session, ReadOnlyNetworkSession)
-            session.bind_store(
-                backend,
-                owns_backend=owns and index == 0,
-                hierarchy_source=source,
-            )
-            sessions.append(session)
-        return sessions
-    except Exception:
-        if owns:
-            backend.close()
-        raise
-
-
 def _restore_session(
     backend: StoreBackend,
     name: str,
     background: Optional[BackgroundKnowledge],
     lazy: Optional[HierarchySource] = None,
     session_cls: Optional[type] = None,
-    runtime: "RuntimeSpec" = None,
 ) -> "NetworkSession":
     from repro.core.session import NetworkSession
 
@@ -833,10 +768,8 @@ def _restore_session(
 
     overlay = _overlay_from_payload(payload["overlay"])
     config = _config_from_payload(payload["config"])
-    if runtime is None:
-        runtime = payload.get("runtime", "simulator")
     system = SummaryManagementSystem(
-        overlay, config=config, background=background, seed=0, runtime=runtime
+        overlay, config=config, background=background, seed=0
     )
     _rng_restore(system.rng, payload["system_rng"])
 

@@ -34,6 +34,16 @@ def _planned_session(seed: int = 3, peer_count: int = 64, churn: bool = False):
     return builder.build()
 
 
+def _sequential(session, count=None, queries=None, **options):
+    """The reference: one ``session.query`` per query, originators cycled."""
+    cycle = session.partner_ids() or [session.default_originator()]
+    posed = [None] * count if count is not None else list(queries)
+    return [
+        session.query(cycle[index % len(cycle)], query=query, **options)
+        for index, query in enumerate(posed)
+    ]
+
+
 def _real_session(seed: int = 5, peer_count: int = 16):
     background = medical_background_knowledge()
     overlay = Overlay.generate(
@@ -108,11 +118,11 @@ class TestPoseQueriesEquivalence:
 
 
 class TestQueryBatchFacade:
-    def test_query_batch_matches_query_many(self):
+    def test_query_batch_matches_sequential_queries(self):
         batched = _planned_session(seed=9)
         sequential = _planned_session(seed=9)
         a = batched.query_batch(count=8, required_results=2)
-        b = sequential.query_many(count=8, required_results=2)
+        b = _sequential(sequential, count=8, required_results=2)
         assert [answer.routing for answer in a] == [answer.routing for answer in b]
         assert [answer.staleness for answer in a] == [answer.staleness for answer in b]
         assert [answer.query_messages for answer in a] == [
@@ -149,7 +159,7 @@ class TestQueryBatchFacade:
         sequential = _real_session(seed=5)
         query = paper_example_query()
         a = batched.query_batch(queries=[query, query])
-        b = sequential.query_many(queries=[query, query])
+        b = _sequential(sequential, queries=[query, query])
         assert [answer.routing for answer in a] == [answer.routing for answer in b]
         for answer_a, answer_b in zip(a, b):
             if answer_a.answer is None:
@@ -189,7 +199,7 @@ class TestQueryEngineToggle:
         fast.run_until(1800.0)
         legacy.run_until(1800.0)
         fast_answers = fast.query_batch(count=6, required_results=3)
-        legacy_answers = legacy.query_many(count=6, required_results=3)
+        legacy_answers = _sequential(legacy, count=6, required_results=3)
         assert [a.routing for a in fast_answers] == [
             a.routing for a in legacy_answers
         ]
